@@ -142,9 +142,8 @@ def test_end_to_end_parallel_songs(benchmark, leg, executor, shards, transport):
 # requests (20 query units x 500 packed windows, prefiltered Frechet): each
 # leg records the 20 units cold and replays them in unit order, exactly the
 # thread-executor life cycle.  The *bookkeeping overhead* is the leg's time
-# minus the no-cache compute floor (same kernels, no logging, no cache), and
-# the columnar format must hold a healthy multiple over the object-log
-# reference -- that multiple is what pays for fan-out at high worker counts.
+# minus the no-cache compute floor (same kernels, no logging, no cache).  The
+# replay must leave the cache state and counters the serial path leaves.
 
 MICRO_QUERIES = 20
 MICRO_WINDOWS = 500
@@ -190,8 +189,16 @@ def _micro_floor() -> float:
     return _MICRO["floor"]
 
 
-@pytest.mark.parametrize("log_format", ["object", "columnar"])
-def test_record_replay_bookkeeping(benchmark, log_format):
+def _serial_fingerprint(items, gather, queries):
+    """Cache state and counters of the serial path over the micro workload."""
+    cache = DistanceCache()
+    counting = CountingDistance(DiscreteFrechet(), cache=cache, prefilter=True)
+    for query in queries:
+        counting.batch(query, items, cutoff=MICRO_CUTOFF, packed=gather)
+    return (len(cache._entries), cache.hits, cache.misses, counting.counter.total)
+
+
+def test_record_replay_bookkeeping(benchmark):
     items, gather, queries = _micro_workload()
 
     def run():
@@ -199,9 +206,7 @@ def test_record_replay_bookkeeping(benchmark, log_format):
         counting = CountingDistance(DiscreteFrechet(), cache=cache, prefilter=True)
         recordings = []
         for query in queries:
-            recording = RecordingCounting(
-                DiscreteFrechet(), cache, prefilter=True, log_format=log_format
-            )
+            recording = RecordingCounting(DiscreteFrechet(), cache, prefilter=True)
             recording.batch(query, items, cutoff=MICRO_CUTOFF, packed=gather)
             recordings.append(recording)
         for recording in recordings:
@@ -213,32 +218,19 @@ def test_record_replay_bookkeeping(benchmark, log_format):
     floor = _micro_floor()
     requests = MICRO_QUERIES * MICRO_WINDOWS
     overhead = best - floor
-    _MICRO[log_format] = overhead
     fingerprint = (len(cache._entries), cache.hits, cache.misses, counting.counter.total)
     benchmark.extra_info["requests"] = requests
     benchmark.extra_info["floor_ms"] = round(floor * 1e3, 3)
     benchmark.extra_info["overhead_ms_per_10k_requests"] = round(overhead * 1e3 * 1e4 / requests, 3)
 
     rows = [
-        ["log format", log_format],
         ["requests", requests],
         ["record+replay (ms)", f"{best * 1e3:.2f}"],
         ["compute floor (ms)", f"{floor * 1e3:.2f}"],
         ["bookkeeping overhead (ms / 10k requests)", f"{overhead * 1e3 * 1e4 / requests:.2f}"],
     ]
-    if log_format == "columnar" and "object" in _MICRO:
-        ratio = _MICRO["object"] / overhead
-        benchmark.extra_info["overhead_ratio_vs_object"] = round(ratio, 2)
-        rows.append(["overhead ratio (object / columnar)", f"{ratio:.2f}x"])
     print()
     print(format_table(["quantity", "value"], rows, title="Record/replay bookkeeping"))
 
-    # Both formats replay to the same cache state and counters.
-    if "fingerprint" not in _MICRO:
-        _MICRO["fingerprint"] = fingerprint
-    else:
-        assert fingerprint == _MICRO["fingerprint"]
-    if log_format == "columnar" and "object" in _MICRO:
-        # ~3.6-3.9x on the reference runner (see BENCH_6.json); 3x is the
-        # regression floor for the nightly gate.
-        assert _MICRO["object"] / overhead >= 3.0
+    # The replay leaves the cache state and counters the serial path does.
+    assert fingerprint == _serial_fingerprint(items, gather, queries)

@@ -29,7 +29,6 @@ from repro.core.queries import (
     SubsequenceMatch,
     TopKCandidates,
     TopKQuery,
-    as_query_spec,
     match_ranking_key,
 )
 from repro.core.segmentation import partition_database, extract_query_segments
@@ -86,7 +85,6 @@ __all__ = [
     "SubsequenceMatch",
     "TopKCandidates",
     "TopKQuery",
-    "as_query_spec",
     "match_ranking_key",
     "partition_database",
     "extract_query_segments",

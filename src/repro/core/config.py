@@ -37,11 +37,6 @@ def _default_transport() -> str:
     return os.environ.get("REPRO_TRANSPORT", "auto")
 
 
-def _default_log_format() -> str:
-    """The configured recording log format (``REPRO_LOG_FORMAT`` env var)."""
-    return os.environ.get("REPRO_LOG_FORMAT", "columnar")
-
-
 @dataclass(frozen=True)
 class MatcherConfig:
     """Parameters of the paper's framework.
@@ -121,13 +116,6 @@ class MatcherConfig:
         serial and thread executors, which never serialize payloads.
         Results and counters never depend on this knob.  The default
         honours the ``REPRO_TRANSPORT`` environment variable.
-    log_format:
-        Storage format for the parallel executors' record/replay logs:
-        ``"columnar"`` (the default; preallocated numpy columns, replayed
-        by a vectorized classifier) or ``"object"`` (the original
-        per-request tuple log, kept as the reference implementation).
-        Both formats replay to byte-identical results and counters.  The
-        default honours the ``REPRO_LOG_FORMAT`` environment variable.
     """
 
     min_length: int
@@ -144,7 +132,6 @@ class MatcherConfig:
     kernel: str = field(default_factory=_default_kernel)
     shards: int = 1
     transport: str = field(default_factory=_default_transport)
-    log_format: str = field(default_factory=_default_log_format)
 
     _KNOWN_INDEXES = (
         "reference-net",
@@ -208,13 +195,6 @@ class MatcherConfig:
             raise ConfigurationError(
                 f"unknown transport {self.transport!r}; "
                 f"expected one of {self._KNOWN_TRANSPORTS}"
-            )
-        from repro.distances.recording import LOG_FORMATS as _LOG_FORMATS
-
-        if self.log_format not in _LOG_FORMATS:
-            raise ConfigurationError(
-                f"unknown log format {self.log_format!r}; "
-                f"expected one of {_LOG_FORMATS}"
             )
         if self.window_length < 1:
             raise ConfigurationError(

@@ -11,16 +11,15 @@ Typical use::
     db.add(Sequence.from_values([...], seq_id="series-1"))
     matcher = SubsequenceMatcher(db, DiscreteFrechet(), MatcherConfig(min_length=40, max_shift=2))
 
-    # Declarative style: build a spec, bind the query sequence, execute.
+    # Build a spec, bind the query sequence, execute.
     result = matcher.execute(RangeQuery(radius=1.5).bind(query))       # Type I
     result = matcher.execute(LongestSubsequenceQuery(1.5).bind(query))  # Type II
+    result = matcher.execute(NearestSubsequenceQuery(10).bind(query))   # Type III
     result = matcher.execute(TopKQuery(k=5, max_radius=10).bind(query))  # top-k
-    result.matches, result.stats, result.query  # the uniform envelope
+    result.matches, result.best, result.stats  # the uniform envelope
 
-    # Legacy convenience wrappers (thin shims over execute()):
-    best = matcher.longest_similar(query, radius=1.5)
-    nearest = matcher.nearest_subsequence(query, max_radius=10)
-    all_pairs = matcher.range_search(query, radius=1.5)
+    # Many bound specs, of any mix of types, in one call:
+    results = matcher.execute_many([RangeQuery(1.5).bind(q) for q in queries])
 
 The online steps (3-5) are executed by the staged
 :class:`~repro.core.pipeline.QueryPipeline`; the matcher owns the offline
@@ -40,6 +39,7 @@ from repro.core.config import MatcherConfig
 from repro.core.executor import make_executor
 from repro.core.pipeline import QueryPipeline
 from repro.core.queries import (
+    BaseQuery,
     LongestSubsequenceQuery,
     NearestSubsequenceQuery,
     QueryResult,
@@ -49,8 +49,9 @@ from repro.core.queries import (
     SubsequenceMatch,
     TopKCandidates,
     TopKQuery,
+    match_identity,
 )
-from repro.core.query_api import QueryInterfaceMixin, QuerySpec
+from repro.core.query_api import QueryInterfaceMixin
 from repro.core.segmentation import partition_database
 from repro.distances.base import Distance
 from repro.distances.cache import DistanceCache
@@ -125,8 +126,8 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         the paper's evaluation reports -- plus the pipeline's per-stage
         timings and prefilter accounting.
     last_batch_stats:
-        One :class:`~repro.core.queries.QueryStats` per query of the most
-        recent :meth:`batch_query` call.
+        One :class:`~repro.core.queries.QueryStats` per spec of the most
+        recent :meth:`execute_many` call.
     distance_cache:
         The :class:`~repro.distances.cache.DistanceCache` shared between
         the index and the verification step.  Every (segment, window) and
@@ -298,35 +299,29 @@ class SubsequenceMatcher(QueryInterfaceMixin):
             self.index.delete(window.key)
         return sequence
 
-    def check_incremental_invariants(
-        self, queries: List[Sequence], spec: QuerySpec
-    ) -> None:
-        """Assert this matcher answers ``queries`` like a fresh rebuild would.
+    def check_incremental_invariants(self, specs: List[BaseQuery]) -> None:
+        """Assert this matcher answers bound ``specs`` like a fresh rebuild would.
 
         Builds a throwaway matcher over the same database with the same
-        configuration (and a private cache), runs every query through both,
-        and raises :class:`~repro.exceptions.QueryError` on the first
-        divergence.  This is the executable form of the incremental-update
-        contract; the test-suite's property tests drive it across index
-        classes and update interleavings.
+        configuration (and a private cache), runs every spec through both
+        with :meth:`execute_many`, and raises
+        :class:`~repro.exceptions.QueryError` when the matches (distance and
+        identity) or the error outcomes differ.  This is the executable form
+        of the incremental-update contract; the test-suite's property tests
+        drive it across index classes and update interleavings.
         """
-        def identity(result):
-            if result is None:
-                return None
-            if isinstance(result, SubsequenceMatch):
-                return (
-                    result.distance,
-                    result.source_id,
-                    result.query_start,
-                    result.query_stop,
-                    result.db_start,
-                    result.db_stop,
+        def outcomes(results):
+            return [
+                (
+                    result.error is not None,
+                    [(match.distance, match_identity(match)) for match in result.matches],
                 )
-            return [identity(match) for match in result]
+                for result in results
+            ]
 
         rebuilt = SubsequenceMatcher(self.database, self.distance, self.config)
-        mine = [identity(result) for result in self.batch_query(queries, spec)]
-        theirs = [identity(result) for result in rebuilt.batch_query(queries, spec)]
+        mine = outcomes(self.execute_many(specs))
+        theirs = outcomes(rebuilt.execute_many(specs))
         if mine != theirs:
             raise QueryError(
                 "incremental matcher diverged from a fresh rebuild: "
@@ -415,9 +410,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         ``spec`` is one of the :mod:`repro.core.queries` dataclasses with a
         query sequence attached via
         :meth:`~repro.core.queries.BaseQuery.bind`; dispatch over the spec
-        type selects the pipeline strategy.  Every query -- including each
-        legacy convenience method, which is now a one-line wrapper around
-        this -- returns the uniform
+        type selects the pipeline strategy.  Every query returns the uniform
         :class:`~repro.core.queries.QueryResult` envelope (paged matches,
         :class:`~repro.core.queries.QueryStats`, spec echo) and installs
         its statistics in :attr:`last_query_stats`.
@@ -510,9 +503,7 @@ class SubsequenceMatcher(QueryInterfaceMixin):
         self.last_query_stats = QueryStats.merged(passes)
         return candidates.ranked(), self.last_query_stats
 
-    # ``execute_many`` and the legacy per-sequence wrappers
-    # (``range_search`` / ``longest_similar`` / ``nearest_subsequence`` /
-    # ``topk_subsequences`` / ``batch_query``) come from
+    # ``execute_many`` comes from
     # :class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the
     # sharded matcher.
 

@@ -210,7 +210,6 @@ class QueryPipeline:
                 units,
                 len(sequences),
                 self.executor,
-                log_format=self.config.log_format,
                 transport=self.config.transport,
             )
         else:
@@ -344,8 +343,7 @@ class QueryPipeline:
             # bookkeeping -- run the plain serial loop.
             return [runner(chain, self.cache, counter) for chain in chains], 0.0
         recordings: List[RecordingVerifyCache] = [
-            RecordingVerifyCache(self.cache, log_format=self.config.log_format)
-            for _chain in chains
+            RecordingVerifyCache(self.cache) for _chain in chains
         ]
         # Contiguous chunks of chains per task: candidate chains number in
         # the thousands and most verify in microseconds, so per-chain

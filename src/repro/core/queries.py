@@ -34,8 +34,8 @@ class BaseQuery:
     Every concrete spec is a frozen dataclass whose trailing fields are the
     uniform envelope controls -- result paging (``limit``/``offset``) and an
     optional bound ``query`` sequence.  A spec without a bound sequence is a
-    reusable template (the legacy per-sequence methods and
-    ``execute_many([spec.bind(q) for q in ...])`` both rely on that);
+    reusable template (``execute_many([spec.bind(q) for q in ...])``
+    relies on that);
     :meth:`bind` attaches the sequence without mutating the template.
     """
 
@@ -201,15 +201,6 @@ class TopKQuery(BaseQuery):
                 f"radius_increment must be positive, got {self.radius_increment}"
             )
         self._validate_envelope()
-
-
-def as_query_spec(spec) -> BaseQuery:
-    """Normalise a user-supplied spec: a bare number is a Type I radius."""
-    if isinstance(spec, BaseQuery):
-        return spec
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return RangeQuery(radius=float(spec))
-    raise QueryError(f"unsupported query spec: {spec!r}")
 
 
 @dataclass(frozen=True)

@@ -383,7 +383,7 @@ class ShardedMatcher(QueryInterfaceMixin):
         stats = self._finalize_stats(QueryStats.merged(passes))
         return candidates.ranked(), stats
 
-    # ``execute_many`` and the legacy per-sequence wrappers come from
+    # ``execute_many`` comes from
     # :class:`~repro.core.query_api.QueryInterfaceMixin`, shared with the
     # plain matcher.
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -111,7 +112,7 @@ def _ecost(q, i, x, j, d, kind):
         for t in range(d):
             diff = q[i, t] - x[j, t]
             s += diff * diff
-        return s ** 0.5
+        return math.sqrt(s)
     if kind == 1:
         for t in range(d):
             s += abs(q[i, t] - x[j, t])
@@ -129,7 +130,7 @@ def _gap_cost(x, j, gap, d, kind):
         for t in range(d):
             diff = x[j, t] - gap[t]
             s += diff * diff
-        return s ** 0.5
+        return math.sqrt(s)
     if kind == 1:
         for t in range(d):
             s += abs(x[j, t] - gap[t])

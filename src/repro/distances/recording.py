@@ -32,28 +32,17 @@ the query pipeline:
 * :class:`RecordingVerifyCache` duck-types :class:`DistanceCache` for the
   verification step's ``_measure`` helper.
 
-Logs come in two formats, selected per recorder (``log_format``; the
-process default is ``REPRO_LOG_FORMAT``, falling back to ``columnar``):
-
-* ``"columnar"`` (default): preallocated NumPy columns -- request-kind
-  codes, pair references, a ``(value, cutoff, bound)`` float block --
-  appended with array writes and replayed in bulk.  The replay converts
-  whole columns to Python scalars once, classifies under a single cache
-  lock (:meth:`DistanceCache.replay_view`), and applies counter tallies in
-  one batched update per log instead of three method calls per request.
-  Batched probes log one O(1) descriptor per batch, not one record per
-  window.
-* ``"object"``: the original one-Python-tuple-per-request log, replayed by
-  :func:`replay_probe_log` / :func:`replay_verify_log` one request at a
-  time through the public cache methods.  Kept as the executable reference
-  semantics -- the equivalence suite drives random request streams through
-  both formats and asserts identical counters, cache content, and eviction
-  order.
-
-Both replays re-derive the same classification; the columnar path just
-pays far less bookkeeping per request, which is what lets the parallel
-executors keep their byte-identical promise without losing their speedup
-to logging overhead.
+Logs are columnar: preallocated NumPy columns -- request-kind codes, pair
+references, a ``(value, cutoff, bound)`` float block -- appended with array
+writes and replayed in bulk.  The replay converts whole columns to Python
+scalars once, classifies under a single cache lock
+(:meth:`DistanceCache.replay_view`), and applies counter tallies in one
+batched update per log instead of three method calls per request.  Batched
+probes log one O(1) descriptor per batch, not one record per window.  The
+reference semantics is the serial path itself: the equivalence suite drives
+random request streams through :class:`~repro.indexing.stats.CountingDistance`
+(and the verification lookup/store protocol) and through record+replay, and
+asserts identical values, counters, cache content, and insertion order.
 
 One documented inexactness remains: if the shared cache evicts entries
 *mid-stage* (capacity reached while a query is executing), a unit may have
@@ -66,7 +55,6 @@ this unreachable in practice.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import List, Optional, Sequence as TypingSequence, Tuple
 
@@ -86,38 +74,11 @@ from repro.sequences.sequence import Sequence
 _INF = float("inf")
 _NAN = float("nan")
 
-#: Log record tags of the object format (first tuple element of a record).
-_CALL = "call"
-_BOUNDED = "bounded"
-_BATCH = "batch"
-
-#: Request-kind bit flags of the columnar format.
+#: Request-kind bit flags of the probe log.
 _K_CACHEABLE = 1  # pair is a valid cache key
 _K_BOUNDED = 2  # bounded request (cutoff column is set); unset: plain call
 _K_HAS_BOUND = 4  # the prefilter evaluated a lower bound (bound column set)
 _K_BATCH = 8  # placeholder row for the next entry of ``batches``
-
-#: Supported request-log formats.
-LOG_FORMATS = ("columnar", "object")
-
-
-def default_log_format() -> str:
-    """The process-wide log format: ``REPRO_LOG_FORMAT`` or ``columnar``."""
-    fmt = os.environ.get("REPRO_LOG_FORMAT", "columnar").strip().lower()
-    if fmt not in LOG_FORMATS:
-        raise ValueError(
-            f"REPRO_LOG_FORMAT must be one of {', '.join(LOG_FORMATS)}; got {fmt!r}"
-        )
-    return fmt
-
-
-def _resolve_log_format(log_format: Optional[str]) -> str:
-    if log_format is None:
-        return default_log_format()
-    if log_format not in LOG_FORMATS:
-        raise ValueError(f"log_format must be one of {', '.join(LOG_FORMATS)}; got {log_format!r}")
-    return log_format
-
 
 class _Overlay:
     """A unit-private write layer over a read-only base cache snapshot.
@@ -273,9 +234,8 @@ class _VerifyColumns:
 class _NullReplayView:
     """Replay view over "no cache": every lookup misses, stores are dropped.
 
-    Lets the replay loops stay branch-free on ``cache is None`` -- the
-    counter outcomes (everything classifies as fresh) match the object-log
-    replay's explicit ``cache is None`` handling.
+    Lets the replay loops stay branch-free on ``cache is None``: every
+    request classifies as fresh, as it does serially without a cache.
     """
 
     __slots__ = ()
@@ -312,9 +272,6 @@ class RecordingCounting:
     ``CountingDistance`` would evaluate them -- on cache misses only -- and
     their outcomes ride along in the log so the replay can reconstruct the
     prefilter tallies without recomputing anything.
-
-    ``log_format`` picks the request-log encoding (see the module
-    docstring); :meth:`replay_into` replays whichever log was kept.
     """
 
     def __init__(
@@ -322,24 +279,16 @@ class RecordingCounting:
         inner: Distance,
         base: Optional[DistanceCache],
         prefilter: bool = False,
-        log_format: Optional[str] = None,
     ) -> None:
         self.inner = inner
         self.prefilter = bool(prefilter)
         self._overlay = _Overlay(base)
-        self.log_format = _resolve_log_format(log_format)
-        if self.log_format == "columnar":
-            self._columns: Optional[_ProbeColumns] = _ProbeColumns()
-            #: Object-format request log (``None`` under the columnar format).
-            self.log: Optional[List[tuple]] = None
-        else:
-            self._columns = None
-            self.log = []
-        #: Columnar batch stores not yet applied to the overlay, as
+        self._columns = _ProbeColumns()
+        #: Batch stores not yet applied to the overlay, as
         #: ``(query, items, cutoff, values, group_indexes)``.  A unit's
         #: *last* batch never needs its overlay stores (nothing reads them
-        #: before the unit ends; the replay works from the columns), so the
-        #: columnar finish defers materialization until the next overlay
+        #: before the unit ends; the replay works from the columns), so
+        #: :meth:`batch_finish` defers materialization until the next overlay
         #: read (:meth:`_flush_overlay`).  Every read path flushes first,
         #: so the overlay state observable at any read is identical to
         #: eager stores.
@@ -362,26 +311,17 @@ class RecordingCounting:
         columns = self._columns
         if not DistanceCache.cacheable(first, second):
             value = self.inner(first, second)
-            if columns is not None:
-                columns.append(0, first, second, value, _NAN, _NAN)
-            else:
-                self.log.append((_CALL, first, second, value, False, False))
+            columns.append(0, first, second, value, _NAN, _NAN)
             return value
         if self._unapplied:
             self._flush_overlay()
         cached = self._overlay.lookup(first, second)
         if cached is not None:
-            if columns is not None:
-                columns.append(_K_CACHEABLE, first, second, cached, _NAN, _NAN)
-            else:
-                self.log.append((_CALL, first, second, cached, True, True))
+            columns.append(_K_CACHEABLE, first, second, cached, _NAN, _NAN)
             return cached
         value = self.inner(first, second)
         self._overlay.store(first, second, value)
-        if columns is not None:
-            columns.append(_K_CACHEABLE, first, second, value, _NAN, _NAN)
-        else:
-            self.log.append((_CALL, first, second, value, False, True))
+        columns.append(_K_CACHEABLE, first, second, value, _NAN, _NAN)
         return value
 
     def bounded(self, first, second, cutoff: float) -> float:
@@ -393,10 +333,7 @@ class RecordingCounting:
                 self._flush_overlay()
             cached = self._overlay.lookup(first, second, cutoff=cutoff)
             if cached is not None:
-                if columns is not None:
-                    columns.append(kind, first, second, cached, cutoff, _NAN)
-                else:
-                    self.log.append((_BOUNDED, first, second, cutoff, cached, True, True, None))
+                columns.append(kind, first, second, cached, cutoff, _NAN)
                 return cached
         bound = None
         if self.prefilter:
@@ -405,20 +342,12 @@ class RecordingCounting:
             if bound > cutoff:
                 if cacheable:
                     self._overlay.store(first, second, _INF, cutoff=cutoff)
-                if columns is not None:
-                    columns.append(kind, first, second, _INF, cutoff, bound)
-                else:
-                    self.log.append(
-                        (_BOUNDED, first, second, cutoff, _INF, False, cacheable, bound)
-                    )
+                columns.append(kind, first, second, _INF, cutoff, bound)
                 return _INF
         value = self.inner.bounded(first, second, cutoff)
         if cacheable:
             self._overlay.store(first, second, value, cutoff=cutoff)
-        if columns is not None:
-            columns.append(kind, first, second, value, cutoff, _NAN if bound is None else bound)
-        else:
-            self.log.append((_BOUNDED, first, second, cutoff, value, False, cacheable, bound))
+        columns.append(kind, first, second, value, cutoff, _NAN if bound is None else bound)
         return value
 
     def batch(
@@ -453,7 +382,6 @@ class RecordingCounting:
         rather than a silent pickle fallback.
         """
         values = np.empty(len(items), dtype=np.float64)
-        hits = [False] * len(items)
         query_array = as_array(query)
         pending: List[int] = []
         # The overlay/base lookups are inlined (the classification loop is
@@ -481,7 +409,7 @@ class RecordingCounting:
                 # pending" -- the common first-probe case.
                 pending = list(range(len(items)))
                 return self._prepare_groups(
-                    query, items, cutoff, values, hits, query_array, pending, packed, remote
+                    query, items, cutoff, values, query_array, pending, packed, remote
                 )
             has_cutoff = cutoff is not None
             for index, item in enumerate(items):
@@ -505,17 +433,16 @@ class RecordingCounting:
                                 cached = _INF
                     if cached is not None:
                         values[index] = cached
-                        hits[index] = True
                         continue
                 append(index)
         else:
             pending = list(range(len(items)))
         return self._prepare_groups(
-            query, items, cutoff, values, hits, query_array, pending, packed, remote
+            query, items, cutoff, values, query_array, pending, packed, remote
         )
 
     def _prepare_groups(
-        self, query, items, cutoff, values, hits, query_array, pending, packed, remote
+        self, query, items, cutoff, values, query_array, pending, packed, remote
     ) -> "_BatchContext":
         """Shape-group the pending items and assemble the batch context."""
         grouped: List[Tuple[List[int], object]] = []
@@ -542,46 +469,16 @@ class RecordingCounting:
             for shape, indexes in shape_groups:
                 validate_group_shape(self.inner, query_array, shape)
                 grouped.append((indexes, gather(indexes)))
-        return _BatchContext(self, query, items, cutoff, values, hits, query_array, grouped)
+        return _BatchContext(self, query, items, cutoff, values, query_array, grouped)
 
     def batch_finish(
         self, context: "_BatchContext", computed: List[Tuple[np.ndarray, Optional[np.ndarray]]]
     ) -> np.ndarray:
-        """Fold the computed group values/bounds back in; log the batch."""
-        if self._columns is not None:
-            return self._batch_finish_columnar(context, computed)
-        values, hits = context.values, context.hits
-        bounds: List[Optional[float]] = [None] * len(context.items)
-        for (indexes, _tensor), (group_values, group_bounds) in zip(context.grouped, computed):
-            for position, index in enumerate(indexes):
-                value = float(group_values[position])
-                values[index] = value
-                if group_bounds is not None:
-                    bounds[index] = float(group_bounds[position])
-                if DistanceCache.cacheable(context.query, context.items[index]):
-                    self._overlay.store(
-                        context.query, context.items[index], value, cutoff=context.cutoff
-                    )
-        self.log.append(
-            (
-                _BATCH,
-                context.query,
-                list(context.items),
-                context.cutoff,
-                values.copy(),
-                hits,
-                bounds,
-            )
-        )
-        return values
+        """Fold the computed group values/bounds back in; log the batch.
 
-    def _batch_finish_columnar(self, context, computed) -> np.ndarray:
-        """Columnar finish: vectorized scatter, one O(1) batch descriptor.
-
-        The descriptor keeps the result array *by reference* (callers treat
-        batch results as read-only, which every index does); the per-item
-        Python work of the object path -- float boxing, per-item bound
-        list -- is replaced by array scatters.
+        The log gets one O(1) descriptor that keeps the result array *by
+        reference* (callers treat batch results as read-only, which every
+        index does); the values and bounds are scattered with array writes.
         """
         values = context.values
         items = context.items
@@ -609,7 +506,7 @@ class RecordingCounting:
         return values
 
     def _flush_overlay(self) -> None:
-        """Apply deferred columnar batch stores to the overlay, in order.
+        """Apply deferred batch stores to the overlay, in order.
 
         ``_Overlay.store`` inlined against the overlay dict (exact entry
         vs bound entry, the no-downgrade rule; the overlay never evicts);
@@ -642,24 +539,20 @@ class RecordingCounting:
 
     def replay_into(self, counting) -> None:
         """Replay this unit's log into the live ``CountingDistance``."""
-        if self._columns is not None:
-            _replay_probe_columns(self._columns, counting)
-        else:
-            replay_probe_log(self.log, counting)
+        _replay_probe_columns(self._columns, counting)
 
 
 class _BatchContext:
     """State carried between :meth:`RecordingCounting.batch_prepare` and finish."""
 
-    __slots__ = ("owner", "query", "items", "cutoff", "values", "hits", "query_array", "grouped")
+    __slots__ = ("owner", "query", "items", "cutoff", "values", "query_array", "grouped")
 
-    def __init__(self, owner, query, items, cutoff, values, hits, query_array, grouped) -> None:
+    def __init__(self, owner, query, items, cutoff, values, query_array, grouped) -> None:
         self.owner = owner
         self.query = query
         self.items = list(items)
         self.cutoff = cutoff
         self.values = values
-        self.hits = hits
         self.query_array = query_array
         self.grouped = grouped
 
@@ -720,52 +613,41 @@ class RecordingVerifyCache:
     operations -- ``lookup(first, second, cutoff)`` then, on a miss,
     ``store(first, second, value, cutoff)`` -- and counts hits and fresh
     kernels itself.  This duck-type routes both through the unit overlay
-    and logs the requests for :meth:`replay_into` (columnar format) or
-    :func:`replay_verify_log` (object format).
+    and logs the requests for :meth:`replay_into`.
     """
 
-    def __init__(self, base: Optional[DistanceCache], log_format: Optional[str] = None) -> None:
+    def __init__(self, base: Optional[DistanceCache]) -> None:
         self._overlay = _Overlay(base)
-        self.log_format = _resolve_log_format(log_format)
-        if self.log_format == "columnar":
-            self._columns: Optional[_VerifyColumns] = _VerifyColumns()
-            self.log: Optional[List[tuple]] = None
-        else:
-            self._columns = None
-            self.log = []
+        self._columns = _VerifyColumns()
 
     def lookup(
         self, first: Sequence, second: Sequence, cutoff: Optional[float] = None
     ) -> Optional[float]:
         value = self._overlay.lookup(first, second, cutoff=cutoff)
         if value is not None:
-            if self._columns is not None:
-                self._columns.append(first, second, cutoff, value)
-            else:
-                self.log.append((first, second, cutoff, value, True))
+            self._columns.append(first, second, cutoff, value)
         return value
 
     def store(
         self, first: Sequence, second: Sequence, value: float, cutoff: Optional[float] = None
     ) -> None:
         self._overlay.store(first, second, value, cutoff=cutoff)
-        if self._columns is not None:
-            self._columns.append(first, second, cutoff, value)
-        else:
-            self.log.append((first, second, cutoff, value, False))
+        self._columns.append(first, second, cutoff, value)
 
     def replay_into(self, cache: Optional[DistanceCache], counter) -> None:
         """Replay this unit's log into the real cache + verification counter."""
-        if self._columns is not None:
-            _replay_verify_columns(self._columns, cache, counter)
-        else:
-            replay_verify_log(self.log, cache, counter)
+        _replay_verify_columns(self._columns, cache, counter)
 
 
 def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
-    """Columnar analogue of :func:`replay_probe_log`.
+    """Re-run a probe unit's request stream against the real cache/counter.
 
-    Classification is identical; the bookkeeping is not: whole columns are
+    ``counting`` is the index's live
+    :class:`~repro.indexing.stats.CountingDistance`.  For every logged
+    request the replay decides hit vs fresh vs prefilter-pruned exactly as
+    the serial path would have -- using the *real* cache state, which at
+    this point includes the stores of every earlier unit -- and applies the
+    stores in serial order.  No kernels run here.  Whole columns are
     converted to Python scalars up front, all cache traffic of the log runs
     under one lock acquisition (:meth:`DistanceCache.replay_view`), and the
     counter receives one batched update per tally instead of a method call
@@ -882,11 +764,10 @@ def _replay_probe_columns(columns: _ProbeColumns, counting) -> None:
 def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int, int, int]:
     """Replay one batch descriptor; returns (fresh, hits, evaluated, pruned).
 
-    Two phases, mirroring both the serial ``CountingDistance.batch`` and
-    the object-log replay: first every item is classified hit/pending
-    against the real cache, then the pending items apply their prefilter
-    outcomes and stores -- the same request order, so the same eviction
-    order.
+    Two phases, mirroring the serial ``CountingDistance.batch``: first
+    every item is classified hit/pending against the real cache, then the
+    pending items apply their prefilter outcomes and stores in item order
+    -- the serial store order, so the same eviction order.
     """
     query, items, cutoff, values, bounds_array, bound_known = record
     fresh = hits = pre_evaluated = pre_pruned = 0
@@ -1018,7 +899,11 @@ def _replay_batch_record(record: tuple, view, prefilter: bool) -> Tuple[int, int
 def _replay_verify_columns(
     columns: _VerifyColumns, cache: Optional[DistanceCache], counter
 ) -> None:
-    """Columnar analogue of :func:`replay_verify_log`."""
+    """Re-run a verification unit's request stream; see :func:`_replay_probe_columns`.
+
+    ``counter`` follows the verification counter protocol (``count`` /
+    ``cache_hits`` attributes).
+    """
     size = columns.size
     fresh = hits = 0
     with _replay_view(cache) as view:
@@ -1063,91 +948,3 @@ def _replay_verify_columns(
             view.misses += fresh
     counter.count += fresh
     counter.cache_hits += hits
-
-
-def replay_probe_log(log: List[tuple], counting) -> None:
-    """Re-run a probe unit's request stream against the real cache/counter.
-
-    ``counting`` is the index's live
-    :class:`~repro.indexing.stats.CountingDistance`.  For every logged
-    request the replay decides hit vs fresh vs prefilter-pruned exactly as
-    the serial path would have -- using the *real* cache state, which at
-    this point includes the stores of every earlier unit -- and applies the
-    stores in serial order.  No kernels run here.
-
-    This is the object-format reference replay; the columnar format goes
-    through :meth:`RecordingCounting.replay_into`.
-    """
-    cache, counter, prefilter = counting.cache, counting.counter, counting.prefilter
-    for record in log:
-        tag = record[0]
-        if tag == _CALL:
-            _tag, first, second, value, _hit, cacheable = record
-            if cache is not None and cacheable:
-                cached = cache.lookup(first, second)
-                if cached is not None:
-                    counter.record_cache_hit()
-                    continue
-                counter.increment()
-                cache.store(first, second, value)
-            else:
-                counter.increment()
-        elif tag == _BOUNDED:
-            _tag, first, second, cutoff, value, _hit, cacheable, bound = record
-            if cache is not None and cacheable:
-                cached = cache.lookup(first, second, cutoff=cutoff)
-                if cached is not None:
-                    counter.record_cache_hit()
-                    continue
-            if prefilter and bound is not None:
-                pruned = bound > cutoff
-                counter.record_prefilter(1, 1 if pruned else 0)
-                if pruned:
-                    if cache is not None and cacheable:
-                        cache.store(first, second, _INF, cutoff=cutoff)
-                    continue
-            counter.increment()
-            if cache is not None and cacheable:
-                cache.store(first, second, value, cutoff=cutoff)
-        else:  # _BATCH
-            _tag, query, items, cutoff, values, _hits, bounds = record
-            pending: List[int] = []
-            for index, item in enumerate(items):
-                if cache is not None and DistanceCache.cacheable(query, item):
-                    cached = cache.lookup(query, item, cutoff=cutoff)
-                    if cached is not None:
-                        counter.record_cache_hit()
-                        continue
-                pending.append(index)
-            for index in pending:
-                item = items[index]
-                bound = bounds[index]
-                if prefilter and cutoff is not None and bound is not None:
-                    pruned = bound > cutoff
-                    counter.record_prefilter(1, 1 if pruned else 0)
-                    if pruned:
-                        if cache is not None and DistanceCache.cacheable(query, item):
-                            cache.store(query, item, _INF, cutoff=cutoff)
-                        continue
-                counter.increment()
-                if cache is not None and DistanceCache.cacheable(query, item):
-                    cache.store(query, item, float(values[index]), cutoff=cutoff)
-
-
-def replay_verify_log(log: List[tuple], cache: Optional[DistanceCache], counter) -> None:
-    """Re-run a verification unit's request stream; see :func:`replay_probe_log`.
-
-    ``counter`` follows the verification counter protocol (``count`` /
-    ``cache_hits`` attributes).  Object-format reference replay; the
-    columnar format goes through :meth:`RecordingVerifyCache.replay_into`.
-    """
-    for first, second, cutoff, value, _hit in log:
-        if cache is not None:
-            cached = cache.lookup(first, second, cutoff=cutoff)
-            if cached is not None:
-                counter.cache_hits += 1
-                continue
-            counter.count += 1
-            cache.store(first, second, value, cutoff=cutoff)
-        else:
-            counter.count += 1

@@ -147,18 +147,16 @@ def run_query_work_units(
     units: List[QueryWorkUnit],
     query_count: int,
     executor,
-    log_format: Optional[str] = None,
     transport: Optional[str] = None,
 ) -> Tuple[List[List[RangeMatch]], float]:
     """Execute ``units`` on ``executor`` with serial-equivalent accounting.
 
     Each unit gets a private
     :class:`~repro.distances.recording.RecordingCounting` over the index's
-    cache (``log_format`` selects its request-log encoding); after the
-    executor drains, the unit logs are replayed *in unit order* into the
-    index's live counter and cache, so the counters, the cache content,
-    and the eviction order come out exactly as a serial run would have
-    left them.  Returns one merged match list per query position plus the
+    cache; after the executor drains, the unit logs are replayed *in unit
+    order* into the index's live counter and cache, so the counters, the
+    cache content, and the eviction order come out exactly as a serial run
+    would have left them.  Returns one merged match list per query position plus the
     summed per-worker CPU seconds.
 
     Scheduling granularity: the process executor receives one task per
@@ -193,9 +191,7 @@ def run_query_work_units(
         return per_query_serial, 0.0
 
     recordings: List[RecordingCounting] = [
-        RecordingCounting(
-            counting.inner, counting.cache, counting.prefilter, log_format=log_format
-        )
+        RecordingCounting(counting.inner, counting.cache, counting.prefilter)
         for _unit in units
     ]
     tasks: List[WorkTask] = []

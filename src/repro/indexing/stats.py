@@ -363,11 +363,6 @@ class CountingDistance:
                 shape_groups = list(groups.items())
             for shape, _indexes in shape_groups:
                 validate_group_shape(self.inner, query_array, shape)
-        #: Deferred cache stores as ``(item, value, cutoff)``, flushed under
-        #: a single lock after all groups -- the store order (group order,
-        #: pruned before survivors within a group) matches the inline
-        #: stores exactly, so the cache content and eviction order do too.
-        stores: List[tuple] = []
         for _shape, indexes in shape_groups:
             if packed is None:
                 tensor = np.stack([arrays[i] for i in indexes])
@@ -382,12 +377,7 @@ class CountingDistance:
                 self.counter.record_prefilter(len(indexes), pruned_count)
                 if pruned_count:
                     for position in np.nonzero(pruned_mask)[0]:
-                        index = indexes[position]
-                        values[index] = _INF
-                        if cacheable_query and isinstance(items[index], Sequence):
-                            stores.append(
-                                (items[index], _INF, item_cutoff(cutoff, index))
-                            )
+                        values[indexes[position]] = _INF
                     keep = np.nonzero(~pruned_mask)[0]
                     survivors = [indexes[position] for position in keep]
                     tensor = tensor[keep]
@@ -397,17 +387,19 @@ class CountingDistance:
                 continue
             fresh = self.inner.compute_batch(query_array, tensor, thresholds)
             self.counter.increment(len(survivors))
-            fresh_list = fresh.tolist() if hasattr(fresh, "tolist") else list(fresh)
-            for position, index in enumerate(survivors):
-                value = float(fresh_list[position])
-                values[index] = value
-                if cacheable_query and isinstance(items[index], Sequence):
-                    stores.append((items[index], value, item_cutoff(cutoff, index)))
-        if stores:
+            values[survivors] = fresh
+        if cacheable_query:
+            # The stores run after all groups, under a single lock, in item
+            # order -- the order the record/replay path applies them in, so
+            # a bounded cache evicts the same entries either way.  Pruned
+            # items already hold ``inf``, stored as a ``> cutoff`` entry.
+            value_list = values.tolist()
             with cache.replay_view() as view:
                 store = view.store
-                for item, value, item_bound in stores:
-                    store(query, item, value, item_bound)
+                for index in pending:
+                    item = items[index]
+                    if isinstance(item, Sequence):
+                        store(query, item, value_list[index], item_cutoff(cutoff, index))
         return values
 
     def __repr__(self) -> str:

@@ -18,14 +18,25 @@ Snapshots are versioned independently of the raw-data format
 (``snapshot_version``); loading a snapshot written by an incompatible
 version raises :class:`~repro.exceptions.StorageError` instead of
 misinterpreting it.
+
+Every writer replaces its target atomically (a temporary file in the same
+directory, fsynced, then renamed over the target), so a write that dies
+midway -- a full disk, a killed process -- leaves the previous file intact.
+A file that is truncated or corrupt all the same raises
+:class:`~repro.exceptions.StorageError` on load.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import os
+import secrets
+import zipfile
+import zlib
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +58,74 @@ _SNAPSHOT_VERSION = 1
 #: readers stay compatible with everything but sharded snapshots.
 _SHARDED_SNAPSHOT_VERSION = 2
 
+#: ``MatcherConfig`` fields that older snapshots carry but this build no
+#: longer has (the record/replay log format); dropped on load.
+_RETIRED_CONFIG_KEYS = frozenset({"log_format"})
+
+#: What a truncated or corrupt ``.npz`` raises when numpy opens it (an
+#: empty file is an ``EOFError``, unrecognised bytes a ``ValueError``) or
+#: when a damaged member is read.
+_CORRUPT_OPEN_ERRORS = (zipfile.BadZipFile, EOFError, ValueError)
+_CORRUPT_READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError)
+
 PathLike = Union[str, Path]
+
+
+def _write_npz(path: Path, arrays: dict, what: str) -> None:
+    """Write ``arrays`` as a compressed ``.npz`` that atomically replaces ``path``.
+
+    The archive goes to a temporary file in the target's directory, is
+    fsynced, and is then renamed over the target, so readers see either
+    the old file or the complete new one.  The target keeps
+    :func:`numpy.savez`'s naming rule: ``.npz`` is appended when missing.
+    """
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        # Mode "xb": exclusive create with the usual umask-derived mode.
+        with open(temporary, "xb") as handle:
+            np.savez_compressed(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException as error:
+        temporary.unlink(missing_ok=True)
+        if isinstance(error, OSError):
+            raise StorageError(f"could not write {what} to {path}: {error}") from error
+        raise
+
+
+@contextmanager
+def _open_npz(path: Path, what: str) -> Iterator[Tuple[object, dict]]:
+    """Open an archive written by :func:`_write_npz`; yields ``(archive, metadata)``.
+
+    A missing, truncated, or corrupt file raises
+    :class:`~repro.exceptions.StorageError`.
+    """
+    try:
+        archive = np.load(_with_suffix(path), allow_pickle=False)
+    except FileNotFoundError as error:
+        raise StorageError(f"no {what} at {path}") from error
+    except _CORRUPT_OPEN_ERRORS as error:
+        raise StorageError(f"{what} at {path} is truncated or corrupt: {error}") from error
+    try:
+        with archive:
+            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
+            yield archive, metadata
+    except _CORRUPT_READ_ERRORS as error:
+        raise StorageError(f"{what} at {path} is truncated or corrupt: {error}") from error
+
+
+def _config_from(saved: dict):
+    """The :class:`~repro.core.config.MatcherConfig` a snapshot recorded."""
+    from repro.core.config import MatcherConfig
+
+    known = {field.name for field in fields(MatcherConfig)}
+    unknown = sorted(set(saved) - known - _RETIRED_CONFIG_KEYS)
+    if unknown:
+        raise StorageError(f"snapshot config has fields this build does not know: {unknown}")
+    return MatcherConfig(**{key: value for key, value in saved.items() if key in known})
 
 
 def _database_arrays(database: SequenceDatabase, prefix: str = "seq") -> Tuple[dict, dict]:
@@ -90,25 +168,17 @@ def save_database(database: SequenceDatabase, path: PathLike) -> None:
     arrays, metadata = _database_arrays(database)
     metadata["format_version"] = _FORMAT_VERSION
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    try:
-        np.savez_compressed(path, **arrays)
-    except OSError as error:
-        raise StorageError(f"could not write database to {path}: {error}") from error
+    _write_npz(path, arrays, "database")
 
 
 def load_database(path: PathLike) -> SequenceDatabase:
     """Load a database previously written by :func:`save_database`."""
-    path = Path(path)
-    try:
-        with np.load(_with_suffix(path), allow_pickle=False) as archive:
-            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-            if metadata.get("format_version") != _FORMAT_VERSION:
-                raise StorageError(
-                    f"unsupported database format version {metadata.get('format_version')}"
-                )
-            return _database_from(archive, metadata)
-    except FileNotFoundError as error:
-        raise StorageError(f"no database file at {path}") from error
+    with _open_npz(Path(path), "database file") as (archive, metadata):
+        if metadata.get("format_version") != _FORMAT_VERSION:
+            raise StorageError(
+                f"unsupported database format version {metadata.get('format_version')}"
+            )
+        return _database_from(archive, metadata)
 
 
 def save_windows(windows: List[Window], path: PathLike) -> None:
@@ -131,39 +201,31 @@ def save_windows(windows: List[Window], path: PathLike) -> None:
         )
     metadata = {"format_version": _FORMAT_VERSION, "entries": entries}
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    try:
-        np.savez_compressed(path, **arrays)
-    except OSError as error:
-        raise StorageError(f"could not write windows to {path}: {error}") from error
+    _write_npz(path, arrays, "windows")
 
 
 def load_windows(path: PathLike) -> List[Window]:
     """Load windows previously written by :func:`save_windows`."""
-    path = Path(path)
-    try:
-        with np.load(_with_suffix(path), allow_pickle=False) as archive:
-            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-            if metadata.get("format_version") != _FORMAT_VERSION:
-                raise StorageError(
-                    f"unsupported window format version {metadata.get('format_version')}"
+    with _open_npz(Path(path), "window file") as (archive, metadata):
+        if metadata.get("format_version") != _FORMAT_VERSION:
+            raise StorageError(
+                f"unsupported window format version {metadata.get('format_version')}"
+            )
+        windows: List[Window] = []
+        for position, entry in enumerate(metadata["entries"]):
+            values = archive[f"win_{position}"]
+            kind = SequenceKind(entry["kind"])
+            alphabet = Alphabet(entry["alphabet"]) if entry["alphabet"] else None
+            sequence = Sequence(values, kind, entry["source_id"], alphabet)
+            windows.append(
+                Window(
+                    sequence=sequence,
+                    source_id=entry["source_id"],
+                    start=entry["start"],
+                    ordinal=entry["ordinal"],
                 )
-            windows: List[Window] = []
-            for position, entry in enumerate(metadata["entries"]):
-                values = archive[f"win_{position}"]
-                kind = SequenceKind(entry["kind"])
-                alphabet = Alphabet(entry["alphabet"]) if entry["alphabet"] else None
-                sequence = Sequence(values, kind, entry["source_id"], alphabet)
-                windows.append(
-                    Window(
-                        sequence=sequence,
-                        source_id=entry["source_id"],
-                        start=entry["start"],
-                        ordinal=entry["ordinal"],
-                    )
-                )
-            return windows
-    except FileNotFoundError as error:
-        raise StorageError(f"no window file at {path}") from error
+            )
+        return windows
 
 
 def _with_suffix(path: Path) -> Path:
@@ -284,14 +346,13 @@ def _matcher_payload(matcher, prefix: str = "") -> Tuple[dict, dict]:
 def _matcher_from_payload(archive, metadata: dict, prefix: str, distance, cache):
     """Restore one matcher from a payload written by :func:`_matcher_payload`."""
     # Imported here: the core layer must stay importable without storage.
-    from repro.core.config import MatcherConfig
     from repro.core.matcher import SubsequenceMatcher, build_index
     from repro.core.segmentation import partition_database
     from repro.distances.cache import DistanceCache
     from repro.distances.registry import get_distance
 
     database = _database_from(archive, metadata["database"], prefix=f"{prefix}db_seq")
-    config = MatcherConfig(**metadata["config"])
+    config = _config_from(metadata["config"])
     saved_name = metadata["distance"]
     if distance is None:
         distance = get_distance(saved_name)
@@ -371,10 +432,7 @@ def save_matcher(matcher, path: PathLike) -> None:
         arrays, metadata = _matcher_payload(matcher)
         metadata["snapshot_version"] = _SNAPSHOT_VERSION
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    try:
-        np.savez_compressed(path, **arrays)
-    except OSError as error:
-        raise StorageError(f"could not write matcher snapshot to {path}: {error}") from error
+    _write_npz(path, arrays, "matcher snapshot")
 
 
 def load_matcher(path: PathLike, distance=None, cache=None):
@@ -412,61 +470,54 @@ def load_matcher(path: PathLike, distance=None, cache=None):
         :class:`~repro.core.service.SearchService` accepts a snapshot path
         directly and defers this load to the first query.
     """
-    from repro.core.config import MatcherConfig
     from repro.core.sharded import ShardedMatcher
     from repro.distances.registry import get_distance
     from repro.sequences.database import SequenceDatabase
 
-    path = Path(path)
-    try:
-        with np.load(_with_suffix(path), allow_pickle=False) as archive:
-            metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-            version = metadata.get("snapshot_version")
-            if version == _SNAPSHOT_VERSION:
-                return _matcher_from_payload(archive, metadata, "", distance, cache)
-            if version == _SHARDED_SNAPSHOT_VERSION and metadata.get("sharded"):
-                if cache is not None:
-                    raise StorageError(
-                        "sharded matcher snapshots cannot load into an external "
-                        "cache; each shard owns a private one"
-                    )
-                config = MatcherConfig(**metadata["config"])
-                saved_name = metadata["distance"]
-                if distance is None:
-                    distance = get_distance(saved_name)
-                elif distance.name != saved_name:
-                    raise StorageError(
-                        f"snapshot was built with distance {saved_name!r} but "
-                        f"{distance.name!r} was supplied"
-                    )
-                shards = [
-                    _matcher_from_payload(
-                        archive, shard_meta, f"s{position}_", distance, None
-                    )
-                    for position, shard_meta in enumerate(metadata["shards"])
-                ]
-                database = SequenceDatabase(
-                    shards[0].database.kind if shards else None,
-                    name=metadata["database_name"],
+    with _open_npz(Path(path), "matcher snapshot") as (archive, metadata):
+        version = metadata.get("snapshot_version")
+        if version == _SNAPSHOT_VERSION:
+            return _matcher_from_payload(archive, metadata, "", distance, cache)
+        if version == _SHARDED_SNAPSHOT_VERSION and metadata.get("sharded"):
+            if cache is not None:
+                raise StorageError(
+                    "sharded matcher snapshots cannot load into an external "
+                    "cache; each shard owns a private one"
                 )
-                assignment = {
-                    seq_id: int(shard) for seq_id, shard in metadata["assignment"].items()
-                }
-                for seq_id in metadata["database_ids"]:
-                    database.add(shards[assignment[seq_id]].database[seq_id])
-                return ShardedMatcher._restore(
-                    database,
-                    distance,
-                    config,
-                    shards,
-                    assignment,
-                    int(metadata["assigned"]),
+            config = _config_from(metadata["config"])
+            saved_name = metadata["distance"]
+            if distance is None:
+                distance = get_distance(saved_name)
+            elif distance.name != saved_name:
+                raise StorageError(
+                    f"snapshot was built with distance {saved_name!r} but "
+                    f"{distance.name!r} was supplied"
                 )
-            hint = " (not a snapshot file?)" if version is None else ""
-            raise StorageError(
-                f"unsupported matcher snapshot version {version!r}; this "
-                f"build reads versions {_SNAPSHOT_VERSION} and "
-                f"{_SHARDED_SNAPSHOT_VERSION}{hint}"
+            shards = [
+                _matcher_from_payload(archive, shard_meta, f"s{position}_", distance, None)
+                for position, shard_meta in enumerate(metadata["shards"])
+            ]
+            database = SequenceDatabase(
+                shards[0].database.kind if shards else None,
+                name=metadata["database_name"],
             )
-    except FileNotFoundError as error:
-        raise StorageError(f"no matcher snapshot at {path}") from error
+            assignment = {
+                seq_id: int(shard) for seq_id, shard in metadata["assignment"].items()
+            }
+            for seq_id in metadata["database_ids"]:
+                database.add(shards[assignment[seq_id]].database[seq_id])
+            return ShardedMatcher._restore(
+                database,
+                distance,
+                config,
+                shards,
+                assignment,
+                int(metadata["assigned"]),
+            )
+        hint = " (not a snapshot file?)" if version is None else ""
+        raise StorageError(
+            f"unsupported matcher snapshot version {version!r}; this "
+            f"build reads versions {_SNAPSHOT_VERSION} and "
+            f"{_SHARDED_SNAPSHOT_VERSION}{hint}"
+        )
+

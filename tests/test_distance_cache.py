@@ -114,6 +114,7 @@ class TestMatcherIntegration:
         from repro import (
             DiscreteFrechet,
             MatcherConfig,
+            RangeQuery,
             SequenceDatabase,
             SequenceKind,
             SubsequenceMatcher,
@@ -126,7 +127,7 @@ class TestMatcherIntegration:
         config = MatcherConfig(min_length=10, max_shift=1, cache_max_entries=50)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         query = Sequence.from_values(rng.normal(size=20), seq_id="q")
-        matcher.range_search(query, 5.0)
+        matcher.execute(RangeQuery(radius=5.0).bind(query))
         assert matcher.distance_cache.max_entries == 50
         assert len(matcher.distance_cache) <= 50
 
@@ -244,8 +245,8 @@ class TestThreadSafety:
 
         import numpy as np
 
-        from repro import DiscreteFrechet, MatcherConfig, SequenceDatabase, SequenceKind
-        from repro import SubsequenceMatcher
+        from repro import DiscreteFrechet, LongestSubsequenceQuery, MatcherConfig
+        from repro import SequenceDatabase, SequenceKind, SubsequenceMatcher
         from repro.distances import shared_cache
 
         generator = np.random.default_rng(5)
@@ -278,7 +279,8 @@ class TestThreadSafety:
 
         def run(position):
             try:
-                results[position] = matchers[position].longest_similar(query, 0.5)
+                spec = LongestSubsequenceQuery(radius=0.5).bind(query)
+                results[position] = matchers[position].execute(spec).best
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 

@@ -17,6 +17,7 @@ from repro import (
     LongestSubsequenceQuery,
     MatcherConfig,
     NearestSubsequenceQuery,
+    RangeQuery,
     Sequence,
     SequenceDatabase,
     SequenceKind,
@@ -219,12 +220,12 @@ class TestMatcherIncrementalUpdates:
             Sequence.from_values(generator.uniform(-5, 5, size=30), seq_id="late-2")
         )
         assert len(matcher.windows) == planted_db.window_count(config.window_length)
-        matcher.check_incremental_invariants([pattern_query], 0.5)
         matcher.check_incremental_invariants(
-            [pattern_query], LongestSubsequenceQuery(radius=0.5)
-        )
-        matcher.check_incremental_invariants(
-            [pattern_query], NearestSubsequenceQuery(max_radius=10.0)
+            [
+                RangeQuery(radius=0.5).bind(pattern_query),
+                LongestSubsequenceQuery(radius=0.5).bind(pattern_query),
+                NearestSubsequenceQuery(max_radius=10.0).bind(pattern_query),
+            ]
         )
 
     @pytest.mark.parametrize("index_name", INDEX_NAMES)
@@ -235,9 +236,11 @@ class TestMatcherIncrementalUpdates:
         assert removed.seq_id == "with-pattern-2"
         assert "with-pattern-2" not in matcher.database
         assert all(window.source_id != "with-pattern-2" for window in matcher.windows)
-        matcher.check_incremental_invariants([pattern_query], 0.5)
         matcher.check_incremental_invariants(
-            [pattern_query], LongestSubsequenceQuery(radius=0.5)
+            [
+                RangeQuery(radius=0.5).bind(pattern_query),
+                LongestSubsequenceQuery(radius=0.5).bind(pattern_query),
+            ]
         )
 
     def test_add_sequence_windows_visible_immediately(self, planted_db, config=None):
@@ -249,7 +252,7 @@ class TestMatcherIncrementalUpdates:
         assert len(matcher.windows) > before
         assert len(matcher.index) == len(matcher.windows)
         query = Sequence(pattern + 0.01, SequenceKind.TIME_SERIES, "q")
-        results = matcher.range_search(query, 0.5)
+        results = matcher.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert any(match.source_id == "clone" for match in results)
 
     def test_naive_count_tracks_live_window_count(self, planted_db, pattern_query):
@@ -268,16 +271,18 @@ class TestMatcherIncrementalUpdates:
         config = MatcherConfig(min_length=12, max_shift=1)
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
         reference = [
-            match_identity(m) for m in matcher.range_search(pattern_query, 0.5)
+            match_identity(m)
+            for m in matcher.execute(RangeQuery(radius=0.5).bind(pattern_query)).matches
         ]
         sequence = matcher.remove_sequence("with-pattern-1")
         matcher.add_sequence(sequence)
         # The re-added sequence lands at the end of the database, exactly
         # where a fresh build would put it, so results must still agree
         # with a rebuild (content identical, order canonical).
-        matcher.check_incremental_invariants([pattern_query], 0.5)
+        matcher.check_incremental_invariants([RangeQuery(radius=0.5).bind(pattern_query)])
         roundtrip = [
-            match_identity(m) for m in matcher.range_search(pattern_query, 0.5)
+            match_identity(m)
+            for m in matcher.execute(RangeQuery(radius=0.5).bind(pattern_query)).matches
         ]
         assert sorted(roundtrip) == sorted(reference)
 
@@ -328,7 +333,6 @@ class TestIncrementalProperty:
                 matcher.remove_sequence(ids[argument % len(ids)])
 
         query = Sequence.from_values(np.cumsum(np.random.default_rng(5).normal(size=18)))
-        matcher.check_incremental_invariants([query], 2.0)
         matcher.check_incremental_invariants(
-            [query], LongestSubsequenceQuery(radius=2.0)
+            [RangeQuery(radius=2.0).bind(query), LongestSubsequenceQuery(radius=2.0).bind(query)]
         )

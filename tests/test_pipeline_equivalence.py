@@ -205,7 +205,7 @@ class TestPipelineMatchesLegacyOrchestration:
         config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         expected = _legacy_query(matcher, query, 0.5, "range")
-        actual = matcher.range_search(query, RangeQuery(radius=0.5))
+        actual = matcher.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert sorted(map(_match_key, actual)) == sorted(map(_match_key, expected))
 
     @pytest.mark.parametrize("index_name", ALL_INDEXES)
@@ -214,7 +214,7 @@ class TestPipelineMatchesLegacyOrchestration:
         config = MatcherConfig(min_length=12, max_shift=1, index=index_name)
         matcher = SubsequenceMatcher(db, DiscreteFrechet(), config)
         expected = _legacy_query(matcher, query, 0.5, "longest")
-        actual = matcher.longest_similar(query, 0.5)
+        actual = matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert (actual is None) == (expected is None)
         if actual is not None:
             assert _match_key(actual) == _match_key(expected)
@@ -224,7 +224,7 @@ class TestPipelineMatchesLegacyOrchestration:
         matcher = SubsequenceMatcher(string_database, Levenshtein(), config)
         query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
         expected = _legacy_query(matcher, query, 2.0, "longest")
-        actual = matcher.longest_similar(query, 2.0)
+        actual = matcher.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert _match_key(actual) == _match_key(expected)
 
     def test_prefilter_does_not_change_matcher_results(self, planted):
@@ -236,8 +236,8 @@ class TestPipelineMatchesLegacyOrchestration:
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, index="linear-scan", prefilter=False),
         )
-        got = with_pf.range_search(query, 0.5)
-        want = without_pf.range_search(query, 0.5)
+        got = with_pf.execute(RangeQuery(radius=0.5).bind(query)).matches
+        want = without_pf.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert sorted(map(_match_key, got)) == sorted(map(_match_key, want))
         assert with_pf.last_query_stats.prefilter_evaluations > 0
         assert without_pf.last_query_stats.prefilter_evaluations == 0
@@ -249,7 +249,7 @@ class TestQueryStatsPipeline:
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
-        matcher.range_search(query, 0.5)
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         stats = matcher.last_query_stats
         for stage in ("segment", "probe", "chain", "verify"):
             assert stage in stats.stage_timings
@@ -260,7 +260,7 @@ class TestQueryStatsPipeline:
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
-        best = matcher.nearest_subsequence(query, NearestSubsequenceQuery(max_radius=10.0))
+        best = matcher.execute(NearestSubsequenceQuery(max_radius=10.0).bind(query)).best
         assert best is not None
         stats = matcher.last_query_stats
         assert len(stats.passes) > 1
@@ -286,65 +286,57 @@ class TestQueryStatsPipeline:
 
 
 class TestBatchQueryAndSharedCache:
-    def test_batch_query_matches_individual_queries(self, planted):
+    def test_execute_many_matches_individual_queries(self, planted):
         db, query = planted
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
         other = Sequence.from_values(np.asarray(db["p2"].values[14:38]) + 0.01, seq_id="q2")
         spec = LongestSubsequenceQuery(radius=0.5)
-        batch_results = matcher.batch_query([query, other], spec)
+        batch_results = matcher.execute_many([spec.bind(query), spec.bind(other)])
         assert len(batch_results) == 2
         assert len(matcher.last_batch_stats) == 2
-        individual = [matcher.longest_similar(query, spec), matcher.longest_similar(other, spec)]
-        for got, want in zip(batch_results, individual):
+        individual = [matcher.execute(spec.bind(q)).best for q in (query, other)]
+        for got, want in zip((result.best for result in batch_results), individual):
             assert (got is None) == (want is None)
             if got is not None:
                 assert _match_key(got) == _match_key(want)
 
-    def test_batch_query_survives_per_query_failure(self, planted):
+    def test_execute_many_survives_per_query_failure(self, planted):
         db, query = planted
         matcher = SubsequenceMatcher(
             db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
         )
         alien = Sequence.from_values(np.full(20, 500.0), seq_id="alien")
-        results = matcher.batch_query(
-            [query, alien], NearestSubsequenceQuery(max_radius=1.0)
-        )
-        # The alien query has no segment match at max_radius (QueryError in
-        # the single-query method); the batch keeps going and reports None.
+        spec = NearestSubsequenceQuery(max_radius=1.0)
+        results = matcher.execute_many([spec.bind(query), spec.bind(alien)])
+        # The alien query has no segment match at max_radius (QueryError
+        # from execute); the batch keeps going and reports the error.
         assert len(results) == 2
-        assert results[1] is None
+        assert results[0].error is None
+        assert results[1].error is not None and results[1].best is None
         assert len(matcher.last_batch_stats) == 2
-
-    def test_batch_query_range_spec_from_float(self, planted):
-        db, query = planted
-        matcher = SubsequenceMatcher(
-            db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
-        )
-        results = matcher.batch_query([query], 0.5)
-        assert isinstance(results[0], list)
 
     def test_shared_cache_across_matchers(self, planted):
         db, query = planted
         cache = shared_cache("test-frechet-equivalence")
         config = MatcherConfig(min_length=12, max_shift=1)
         first = SubsequenceMatcher(db, DiscreteFrechet(), config, cache=cache)
-        first.longest_similar(query, 0.5)
+        first.execute(LongestSubsequenceQuery(radius=0.5).bind(query))
         entries_after_first = len(cache)
         assert entries_after_first > 0
         second = SubsequenceMatcher(db, DiscreteFrechet(), config, cache=cache)
         # The shared cache survives the second matcher's construction...
         assert len(cache) >= entries_after_first
-        second.longest_similar(query, 0.5)
+        second.execute(LongestSubsequenceQuery(radius=0.5).bind(query))
         # ...and answers its probes: the second matcher computes fewer
         # fresh distances than the first did.
         assert (
             second.last_query_stats.total_cache_hits
             >= first.last_query_stats.total_cache_hits
         )
-        result_first = first.longest_similar(query, 0.5)
-        result_second = second.longest_similar(query, 0.5)
+        result_first = first.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        result_second = second.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert _match_key(result_first) == _match_key(result_second)
 
     def test_refresh_preserves_shared_cache(self, planted):
@@ -420,8 +412,8 @@ class TestExecutorEquivalence:
         assert parallel.pipeline.executor.name == executor
 
         # Type I: identical match lists, in the same order.
-        serial_range = serial.range_search(query, RangeQuery(radius=0.5))
-        parallel_range = parallel.range_search(query, RangeQuery(radius=0.5))
+        serial_range = serial.execute(RangeQuery(radius=0.5).bind(query)).matches
+        parallel_range = parallel.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert list(map(_full_match_key, parallel_range)) == list(
             map(_full_match_key, serial_range)
         )
@@ -430,8 +422,8 @@ class TestExecutorEquivalence:
         )
 
         # Type II.
-        serial_longest = serial.longest_similar(query, 0.5)
-        parallel_longest = parallel.longest_similar(query, 0.5)
+        serial_longest = serial.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        parallel_longest = parallel.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert _full_match_key(parallel_longest) == _full_match_key(serial_longest)
         assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
             serial.last_query_stats
@@ -439,8 +431,8 @@ class TestExecutorEquivalence:
 
         # Type III: the whole radius sweep, pass history included.
         spec = NearestSubsequenceQuery(max_radius=10.0)
-        serial_nearest = serial.nearest_subsequence(query, spec)
-        parallel_nearest = parallel.nearest_subsequence(query, spec)
+        serial_nearest = serial.execute(spec.bind(query)).best
+        parallel_nearest = parallel.execute(spec.bind(query)).best
         assert _full_match_key(parallel_nearest) == _full_match_key(serial_nearest)
         assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
             serial.last_query_stats
@@ -466,8 +458,8 @@ class TestExecutorEquivalence:
             MatcherConfig(executor=executor, workers=4, **config),
         )
         query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
-        serial_result = serial.longest_similar(query, 2.0)
-        parallel_result = parallel.longest_similar(query, 2.0)
+        serial_result = serial.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
+        parallel_result = parallel.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert _full_match_key(parallel_result) == _full_match_key(serial_result)
         assert _stats_fingerprint(parallel.last_query_stats) == _stats_fingerprint(
             serial.last_query_stats
@@ -521,10 +513,9 @@ class TestExecutorEquivalence:
                 == serial_index.counter.prefilter_evaluations
             )
 
-    @pytest.mark.parametrize("log_format", ["columnar", "object"])
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_log_formats_match_serial(self, planted, executor, log_format):
-        """Both record/replay encodings reproduce the serial accounting."""
+    def test_record_replay_matches_serial(self, planted, executor):
+        """The columnar record/replay log reproduces the serial accounting."""
         db, query = planted
         serial = SubsequenceMatcher(
             db,
@@ -542,11 +533,10 @@ class TestExecutorEquivalence:
                 index="linear-scan",
                 executor=executor,
                 workers=4,
-                log_format=log_format,
             ),
         )
-        serial_range = serial.range_search(query, RangeQuery(radius=0.5))
-        parallel_range = parallel.range_search(query, RangeQuery(radius=0.5))
+        serial_range = serial.execute(RangeQuery(radius=0.5).bind(query)).matches
+        parallel_range = parallel.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert list(map(_full_match_key, parallel_range)) == list(
             map(_full_match_key, serial_range)
         )
@@ -578,8 +568,8 @@ class TestExecutorEquivalence:
             ),
         )
         try:
-            serial_range = serial.range_search(query, RangeQuery(radius=0.5))
-            parallel_range = parallel.range_search(query, RangeQuery(radius=0.5))
+            serial_range = serial.execute(RangeQuery(radius=0.5).bind(query)).matches
+            parallel_range = parallel.execute(RangeQuery(radius=0.5).bind(query)).matches
             assert list(map(_full_match_key, parallel_range)) == list(
                 map(_full_match_key, serial_range)
             )
@@ -602,7 +592,7 @@ class TestExecutorEquivalence:
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, executor="thread", workers=2),
         )
-        matcher.range_search(query, 0.5)
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         stats = matcher.last_query_stats
         assert stats.executor == "thread"
         assert stats.workers == 2
@@ -661,8 +651,8 @@ class TestKernelBackendEquivalence:
         oracle = make("numpy", "serial")
         subject = make(kernel, executor)
 
-        serial_range = oracle.range_search(query, RangeQuery(radius=0.5))
-        subject_range = subject.range_search(query, RangeQuery(radius=0.5))
+        serial_range = oracle.execute(RangeQuery(radius=0.5).bind(query)).matches
+        subject_range = subject.execute(RangeQuery(radius=0.5).bind(query)).matches
         assert list(map(_full_match_key, subject_range)) == list(
             map(_full_match_key, serial_range)
         )
@@ -672,16 +662,16 @@ class TestKernelBackendEquivalence:
         assert subject.last_query_stats.kernel_backend == kernel
         assert oracle.last_query_stats.kernel_backend == "numpy"
 
-        serial_longest = oracle.longest_similar(query, 0.5)
-        subject_longest = subject.longest_similar(query, 0.5)
+        serial_longest = oracle.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
+        subject_longest = subject.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best
         assert _full_match_key(subject_longest) == _full_match_key(serial_longest)
         assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
             oracle.last_query_stats
         )
 
         spec = NearestSubsequenceQuery(max_radius=10.0)
-        serial_nearest = oracle.nearest_subsequence(query, spec)
-        subject_nearest = subject.nearest_subsequence(query, spec)
+        serial_nearest = oracle.execute(spec.bind(query)).best
+        subject_nearest = subject.execute(spec.bind(query)).best
         assert _full_match_key(subject_nearest) == _full_match_key(serial_nearest)
         assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
             oracle.last_query_stats
@@ -702,8 +692,8 @@ class TestKernelBackendEquivalence:
             string_database, Levenshtein(), MatcherConfig(kernel=kernel, **config)
         )
         query = Sequence.from_string("ACDEFGHIKL", string_database["s1"].alphabet)
-        oracle_result = oracle.longest_similar(query, 2.0)
-        subject_result = subject.longest_similar(query, 2.0)
+        oracle_result = oracle.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
+        subject_result = subject.execute(LongestSubsequenceQuery(radius=2.0).bind(query)).best
         assert _full_match_key(subject_result) == _full_match_key(oracle_result)
         assert _stats_fingerprint(subject.last_query_stats) == _stats_fingerprint(
             oracle.last_query_stats
@@ -717,8 +707,8 @@ class TestKernelBackendEquivalence:
             DiscreteFrechet(),
             MatcherConfig(min_length=12, max_shift=1, index="linear-scan", kernel="numpy"),
         )
-        matcher.range_search(query, RangeQuery(radius=0.5))
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         assert matcher.last_query_stats.kernel_backend == "numpy"
         matcher.set_kernel("pyloop")
-        matcher.range_search(query, RangeQuery(radius=0.5))
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         assert matcher.last_query_stats.kernel_backend == "pyloop"

@@ -11,7 +11,6 @@ from repro import (
     SubsequenceMatch,
     TopKQuery,
 )
-from repro.core.queries import as_query_spec
 
 
 class TestQuerySpecs:
@@ -58,15 +57,6 @@ class TestQuerySpecs:
         ):
             assert spec.query is None
             assert spec.describe()["type"] == spec.kind
-
-    def test_as_query_spec_coerces_numbers_to_range(self):
-        spec = as_query_spec(2)
-        assert isinstance(spec, RangeQuery) and spec.radius == 2.0
-        assert as_query_spec(spec) is spec
-        with pytest.raises(QueryError):
-            as_query_spec("nope")
-        with pytest.raises(QueryError):
-            as_query_spec(True)
 
 
 class TestSubsequenceMatch:

@@ -193,8 +193,8 @@ class TestTransportEquivalence:
         serial = _matcher(db, "auto", executor="serial")
         subject = _matcher(db, transport)
         try:
-            serial_matches = serial.range_search(query, RangeQuery(radius=0.5))
-            subject_matches = subject.range_search(query, RangeQuery(radius=0.5))
+            serial_matches = serial.execute(RangeQuery(radius=0.5).bind(query)).matches
+            subject_matches = subject.execute(RangeQuery(radius=0.5).bind(query)).matches
             assert list(map(_match_key, subject_matches)) == list(
                 map(_match_key, serial_matches)
             )
@@ -204,8 +204,8 @@ class TestTransportEquivalence:
             assert subject.last_query_stats.transport == transport
 
             spec = NearestSubsequenceQuery(max_radius=10.0)
-            serial_nearest = serial.nearest_subsequence(query, spec)
-            subject_nearest = subject.nearest_subsequence(query, spec)
+            serial_nearest = serial.execute(spec.bind(query)).best
+            subject_nearest = subject.execute(spec.bind(query)).best
             assert (subject_nearest is None) == (serial_nearest is None)
             if subject_nearest is not None:
                 assert _match_key(subject_nearest) == _match_key(serial_nearest)
@@ -231,7 +231,7 @@ class TestLifecycle:
     def test_matcher_close_releases_segments(self, planted):
         db, query = planted
         matcher = _matcher(db, "shared")
-        matcher.range_search(query, RangeQuery(radius=0.5))
+        matcher.execute(RangeQuery(radius=0.5).bind(query))
         assert live_shared_segments()
         matcher.close()
         assert not live_shared_segments()

@@ -18,6 +18,7 @@ from repro import (
     MatcherConfig,
     NearestSubsequenceQuery,
     PROTEIN_ALPHABET,
+    RangeQuery,
     Sequence,
     SequenceDatabase,
     SequenceKind,
@@ -53,12 +54,12 @@ def run_all_query_types(matcher, query):
     """Run Type I, II, and III; return (results repr, stats list)."""
     outputs = []
     stats = []
-    outputs.append(repr(matcher.range_search(query, 0.5)))
+    outputs.append(repr(matcher.execute(RangeQuery(radius=0.5).bind(query)).matches))
     stats.append(matcher.last_query_stats)
-    outputs.append(repr(matcher.longest_similar(query, LongestSubsequenceQuery(radius=0.5))))
+    outputs.append(repr(matcher.execute(LongestSubsequenceQuery(radius=0.5).bind(query)).best))
     stats.append(matcher.last_query_stats)
     outputs.append(
-        repr(matcher.nearest_subsequence(query, NearestSubsequenceQuery(max_radius=10.0)))
+        repr(matcher.execute(NearestSubsequenceQuery(max_radius=10.0).bind(query)).best)
     )
     stats.append(matcher.last_query_stats)
     return outputs, stats
@@ -143,7 +144,7 @@ class TestSnapshotRoundtrip:
         and exporting it crashed with a raw KeyError."""
         config = MatcherConfig(min_length=12, max_shift=1, index="reference-based")
         matcher = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
-        matcher.range_search(pattern_query, 0.5)  # elect references
+        matcher.execute(RangeQuery(radius=0.5).bind(pattern_query))  # elect references
         reference_source = matcher.index._reference_keys[0][0]
         matcher.remove_sequence(reference_source)
         assert matcher.index.is_stale
@@ -151,9 +152,8 @@ class TestSnapshotRoundtrip:
         save_matcher(matcher, path)
         loaded = load_matcher(path)
         assert loaded.index.is_stale  # staleness persisted faithfully
-        assert repr(loaded.range_search(pattern_query, 0.5)) == repr(
-            matcher.range_search(pattern_query, 0.5)
-        )
+        spec = RangeQuery(radius=0.5).bind(pattern_query)
+        assert repr(loaded.execute(spec).matches) == repr(matcher.execute(spec).matches)
 
     def test_string_database_snapshot(self, string_database, tmp_path):
         config = MatcherConfig(min_length=8, max_shift=1)
@@ -162,9 +162,8 @@ class TestSnapshotRoundtrip:
         save_matcher(original, path)
         loaded = load_matcher(path)
         query = Sequence.from_string("ACDEFGHIKL", PROTEIN_ALPHABET)
-        assert repr(loaded.longest_similar(query, 2.0)) == repr(
-            original.longest_similar(query, 2.0)
-        )
+        spec = LongestSubsequenceQuery(radius=2.0).bind(query)
+        assert repr(loaded.execute(spec).best) == repr(original.execute(spec).best)
         assert_same_stats(original.last_query_stats, loaded.last_query_stats)
 
     def test_trajectory_database_snapshot(self, tmp_path):
@@ -179,9 +178,8 @@ class TestSnapshotRoundtrip:
         save_matcher(original, path)
         loaded = load_matcher(path)
         query = Sequence.from_points(pattern[5:25] + 0.01, seq_id="q")
-        assert repr(loaded.range_search(query, 0.5)) == repr(
-            original.range_search(query, 0.5)
-        )
+        spec = RangeQuery(radius=0.5).bind(query)
+        assert repr(loaded.execute(spec).matches) == repr(original.execute(spec).matches)
         assert_same_stats(original.last_query_stats, loaded.last_query_stats)
 
 
@@ -228,3 +226,117 @@ class TestSnapshotErrors:
         # refresh() must not clear a cache the matcher does not own
         loaded.refresh()
         assert len(external) > 0
+
+
+def _rewrite_metadata(path, edit):
+    """Re-save the archive at ``path`` with ``edit`` applied to its metadata."""
+    import json
+
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+    edit(metadata)
+    arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+
+
+class TestRetiredConfigKeys:
+    """Snapshots from builds that had ``MatcherConfig.log_format`` still load."""
+
+    @staticmethod
+    def _add_log_format(metadata):
+        metadata["config"]["log_format"] = "columnar"
+        for shard in metadata.get("shards", []):
+            shard["config"]["log_format"] = "columnar"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_log_format_key_is_dropped_on_load(
+        self, planted_db, pattern_query, tmp_path, shards
+    ):
+        from repro import ShardedMatcher
+
+        config = MatcherConfig(min_length=12, max_shift=1, shards=shards)
+        if shards == 1:
+            original = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        else:
+            original = ShardedMatcher(planted_db, DiscreteFrechet(), config)
+        original.execute(RangeQuery(radius=0.5).bind(pattern_query))  # warm the cache
+        current, retired = tmp_path / "current.npz", tmp_path / "retired.npz"
+        save_matcher(original, current)
+        save_matcher(original, retired)
+        _rewrite_metadata(retired, self._add_log_format)
+
+        expected = load_matcher(current)
+        loaded = load_matcher(retired)
+        assert loaded.config == expected.config
+        expected_out, expected_stats = run_all_query_types(expected, pattern_query)
+        loaded_out, loaded_stats = run_all_query_types(loaded, pattern_query)
+        assert loaded_out == expected_out
+        for first, second in zip(expected_stats, loaded_stats):
+            assert_same_stats(first, second)
+
+    def test_unknown_config_keys_still_fail(self, planted_db, tmp_path):
+        matcher = SubsequenceMatcher(
+            planted_db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
+        )
+        path = tmp_path / "matcher.npz"
+        save_matcher(matcher, path)
+        _rewrite_metadata(path, lambda metadata: metadata["config"].update(bogus=1))
+        with pytest.raises(StorageError, match="bogus"):
+            load_matcher(path)
+
+
+class TestAtomicWrites:
+    @pytest.fixture
+    def matcher(self, planted_db):
+        return SubsequenceMatcher(
+            planted_db, DiscreteFrechet(), MatcherConfig(min_length=12, max_shift=1)
+        )
+
+    def test_failed_write_keeps_previous_snapshot(
+        self, matcher, pattern_query, tmp_path, monkeypatch
+    ):
+        from repro.storage import persistence
+
+        path = tmp_path / "matcher.npz"
+        save_matcher(matcher, path)
+        before = path.read_bytes()
+
+        def disk_full(file, **arrays):
+            file.write(b"PK\x03\x04 partial archive")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(persistence.np, "savez_compressed", disk_full)
+        with pytest.raises(StorageError, match="No space left"):
+            save_matcher(matcher, path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["matcher.npz"]  # no temp left
+        loaded = load_matcher(path)
+        spec = RangeQuery(radius=0.5).bind(pattern_query)
+        assert repr(loaded.execute(spec).matches) == repr(matcher.execute(spec).matches)
+
+    def test_npz_suffix_is_appended_like_numpy(self, matcher, tmp_path):
+        save_matcher(matcher, tmp_path / "snapshot")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot.npz"]
+        assert load_matcher(tmp_path / "snapshot").config == matcher.config
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5, 0.9])
+    def test_truncated_snapshot_raises_storage_error(self, matcher, tmp_path, keep):
+        path = tmp_path / "matcher.npz"
+        save_matcher(matcher, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(StorageError, match="truncated or corrupt"):
+            load_matcher(path)
+
+    def test_truncated_database_raises_storage_error(self, planted_db, tmp_path):
+        from repro import load_database
+
+        path = tmp_path / "db.npz"
+        save_database(planted_db, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(StorageError, match="truncated or corrupt"):
+            load_database(path)
