@@ -48,6 +48,15 @@ class TestValidation:
         with pytest.raises(Exception):
             config.min_length = 20
 
+    def test_log_format_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            MatcherConfig(min_length=10, log_format="object")
+
+    def test_log_format_env_var_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG_FORMAT", "bogus")
+        config = MatcherConfig(min_length=10)
+        assert not hasattr(config, "log_format")
+
 
 class TestDerivedQuantities:
     def test_window_length_is_half_lambda(self):

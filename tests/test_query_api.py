@@ -109,6 +109,79 @@ class TestSpecBinding:
         assert "query" not in description
 
 
+SPEC_TEMPLATES = {
+    "range": RangeQuery(radius=0.5),
+    "longest": LongestSubsequenceQuery(radius=0.5),
+    "nearest": NearestSubsequenceQuery(max_radius=10.0),
+    "topk": TopKQuery(k=2, max_radius=10.0),
+}
+
+
+class TestExecuteAccounting:
+    """Single and batch entry points are the same query, same accounting."""
+
+    @pytest.mark.parametrize("kind", sorted(SPEC_TEMPLATES))
+    def test_execute_many_matches_execute(self, planted_db, pattern_query, config, kind):
+        spec = SPEC_TEMPLATES[kind].bind(pattern_query)
+        single = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        batched = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        result = single.execute(spec)
+        [from_batch] = batched.execute_many([spec])
+        assert result.matches
+        assert from_batch.error is None
+        assert match_identities(from_batch.matches) == match_identities(result.matches)
+        assert work_counters(from_batch.stats) == work_counters(result.stats)
+        assert batched.last_batch_stats == [from_batch.stats]
+
+    @pytest.mark.parametrize("kind", sorted(SPEC_TEMPLATES))
+    def test_sharded_backends_serve_the_same_specs(
+        self, planted_db, pattern_query, config, kind
+    ):
+        spec = SPEC_TEMPLATES[kind].bind(pattern_query)
+        single = SubsequenceMatcher(planted_db, DiscreteFrechet(), config)
+        sharded = ShardedMatcher(planted_db, DiscreteFrechet(), config, shards=2)
+        expected = single.execute(spec)
+        result = sharded.execute(spec)
+        assert result.query is spec
+        # Shards merge range matches in shard order; the set is the same.
+        assert sorted(match_identities(result.matches)) == sorted(
+            match_identities(expected.matches)
+        )
+
+
+class TestRemovedWrappers:
+    """The per-type wrappers are gone; ``execute`` is the only entry point."""
+
+    REMOVED = (
+        "range_search",
+        "longest_similar",
+        "nearest_subsequence",
+        "topk_subsequences",
+        "batch_query",
+    )
+
+    @pytest.mark.parametrize("backend", [SubsequenceMatcher, ShardedMatcher])
+    def test_backends_expose_no_wrappers(self, backend):
+        assert [name for name in self.REMOVED if hasattr(backend, name)] == []
+
+    def test_spec_coercion_helpers_are_gone(self):
+        import repro
+        from repro.core import queries
+
+        assert not hasattr(queries, "as_query_spec")
+        assert not hasattr(queries, "QuerySpec")
+        assert not hasattr(repro, "QuerySpec")
+
+    def test_execute_does_not_warn(self, matcher, pattern_query):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            matcher.execute(RangeQuery(radius=0.5).bind(pattern_query))
+            matcher.execute(TopKQuery(k=1, max_radius=10.0).bind(pattern_query))
+            matcher.execute_many([LongestSubsequenceQuery(radius=0.5).bind(pattern_query)])
+
+
 class TestQueryResultEnvelope:
     def test_envelope_fields(self, matcher, pattern_query):
         spec = RangeQuery(radius=0.5).bind(pattern_query)
